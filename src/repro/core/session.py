@@ -25,6 +25,7 @@ Usage::
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -309,8 +310,9 @@ class HelixSession:
         from repro.versioning.persistence import load_cost_history, load_version_store
 
         self.versions = load_version_store(workspace)
-        for signature, record in load_cost_history(workspace).items():
-            self.history.record(signature, record)
+        restored_costs = load_cost_history(workspace)
+        self.history.restore(restored_costs)
+        for signature in restored_costs:
             self.tracker.observe_signature(signature)
 
     def _catalog_health(self) -> Tuple[bool, str]:
@@ -365,19 +367,20 @@ class HelixSession:
             return None  # fingerprinting is advisory; run proceeds full
 
     def _estimate_costs(self, compiled: CompiledWorkflow, delta_plan=None) -> Dict[str, NodeCosts]:
-        # Tier/codec signals are optional store surface (custom stores in
-        # tests may implement only the primitive operations).
-        codecs = getattr(self.store, "codecs_by_signature", None)
-        resident = getattr(self.store, "memory_resident_signatures", None)
+        # One store query scoped to the plan's signatures: the estimator
+        # looks up nothing else, so the work follows the plan, not the store.
+        inputs = self.store.cost_inputs(
+            [compiled.signature_of(name) for name in compiled.nodes()]
+        )
         costs = self.estimator.estimate(
             compiled,
             history=self.history.cost_records(),
-            materialized_sizes=self.store.sizes_by_signature(),
-            measured_load_costs=self.store.load_costs_by_signature(),
-            chunk_inventory=self.store.chunk_inventory(),
+            materialized_sizes=inputs.sizes,
+            measured_load_costs=inputs.load_costs,
+            chunk_inventory=inputs.chunk_inventory,
             recoverable_partitions=self.partitions,
-            codecs_by_signature=codecs() if callable(codecs) else None,
-            memory_resident=resident() if callable(resident) else None,
+            codecs_by_signature=inputs.codecs,
+            memory_resident=inputs.memory_resident,
             delta_hints=delta_plan.hints() if delta_plan is not None else None,
         )
         # Strategy restrictions: comparators that cannot reuse certain node
@@ -506,67 +509,73 @@ class HelixSession:
         iteration_index: int,
     ) -> SessionRunResult:
         compiled = self._compile(workflow)
-        delta_plan = self._plan_deltas(compiled, iteration_index)
-        costs = self._estimate_costs(compiled, delta_plan)
-        if delta_plan is not None and self.metrics_registry.enabled:
-            self._record_delta_verdicts(costs)
-        states, explanation = self._plan_states(compiled, costs)
-        plan = PhysicalPlan(compiled=compiled, states=states)
+        # Pin the plan's signatures from pricing until the LOAD pins take
+        # over, so a concurrent tenant's eviction (shared-cache deployments)
+        # cannot remove an artifact between the estimate that counts on it
+        # and execution.
+        execution_pins = contextlib.ExitStack()
+        with self.store.pin([compiled.signature_of(name) for name in compiled.nodes()]):
+            delta_plan = self._plan_deltas(compiled, iteration_index)
+            costs = self._estimate_costs(compiled, delta_plan)
+            if delta_plan is not None and self.metrics_registry.enabled:
+                self._record_delta_verdicts(costs)
+            states, explanation = self._plan_states(compiled, costs)
+            plan = PhysicalPlan(compiled=compiled, states=states)
 
-        policy = self.strategy.make_materialization_policy(
-            compiled.dag, costs, self.store.remaining_budget()
-        )
-        if self.materialization_wrapper is not None:
-            policy = self.materialization_wrapper(policy)
-        partition_modes = None
-        if self._plan_cache is not None and self._partition_planner is not None:
-            partition_modes = self._plan_cache.partition_modes(
-                compiled, self._partition_planner
+            policy = self.strategy.make_materialization_policy(
+                compiled.dag, costs, self.store.remaining_budget()
             )
-        engine = ExecutionEngine(
-            self.store,
-            policy,
-            backend=self.backend,
-            partitions=self.partitions,
-            partition_planner=self._partition_planner,
-            metrics=self.metrics_registry,
-            fusion=self.compiled,
-            partition_modes=partition_modes,
-        )
-
-        diff = diff_workflows(self._previous_compiled, compiled) if self._previous_compiled else None
-        if not change_category:
-            change_category = self._infer_change_category(compiled, diff)
-
-        trace = (
-            self._seed_trace(
-                compiled, states, costs, explanation, policy,
-                iteration_index, description, change_category,
-                delta_plan=delta_plan,
+            if self.materialization_wrapper is not None:
+                policy = self.materialization_wrapper(policy)
+            partition_modes = None
+            if self._plan_cache is not None and self._partition_planner is not None:
+                partition_modes = self._plan_cache.partition_modes(
+                    compiled, self._partition_planner
+                )
+            engine = ExecutionEngine(
+                self.store,
+                policy,
+                backend=self.backend,
+                partitions=self.partitions,
+                partition_planner=self._partition_planner,
+                metrics=self.metrics_registry,
+                fusion=self.compiled,
+                partition_modes=partition_modes,
             )
-            if self.trace_runs
-            else None
-        )
-        if trace is not None and self.compiled:
-            trace.plan_cache = self._plan_cache.last_result
-            if self._warm_solver is not None and self.strategy.recomputation == "optimal":
-                trace.solver_mode = self._warm_solver.last_mode
-        # Pin every artifact the plan LOADs so a concurrent tenant's eviction
-        # (shared-cache deployments) cannot invalidate this plan mid-run.
-        # Chunked artifacts pin every present chunk of the signature's family.
-        load_signatures = []
-        for name, state in states.items():
-            if state is not NodeState.LOAD:
-                continue
-            signature = compiled.signature_of(name)
-            load_signatures.append(signature)
-            load_signatures.extend(self.store.chunk_signatures(signature))
+
+            diff = diff_workflows(self._previous_compiled, compiled) if self._previous_compiled else None
+            if not change_category:
+                change_category = self._infer_change_category(compiled, diff)
+
+            trace = (
+                self._seed_trace(
+                    compiled, states, costs, explanation, policy,
+                    iteration_index, description, change_category,
+                    delta_plan=delta_plan,
+                )
+                if self.trace_runs
+                else None
+            )
+            if trace is not None and self.compiled:
+                trace.plan_cache = self._plan_cache.last_result
+                if self._warm_solver is not None and self.strategy.recomputation == "optimal":
+                    trace.solver_mode = self._warm_solver.last_mode
+            # Pin every artifact the plan LOADs for the run itself.  Chunked
+            # artifacts pin every present chunk of the signature's family.
+            load_signatures = []
+            for name, state in states.items():
+                if state is not NodeState.LOAD:
+                    continue
+                signature = compiled.signature_of(name)
+                load_signatures.append(signature)
+                load_signatures.extend(self.store.chunk_signatures(signature))
+            execution_pins.enter_context(self.store.pin(load_signatures))
         run_span = self.metrics_registry.span(
             "run",
             metric="repro_run_span_seconds",
             tenant=self.trace_owner or "default",
         )
-        with run_span, self.store.pin(load_signatures):
+        with run_span, execution_pins:
             result: ExecutionResult = engine.execute(
                 plan,
                 costs,
@@ -746,7 +755,8 @@ class HelixSession:
         return ExplainRenderer(self.trace_for(run)).render_ascii(color=color)
 
     def _persist_state(self) -> None:
-        """Write version records and the cost database next to the artifacts."""
+        """Append this iteration's version record and re-measured costs to the
+        workspace logs (work proportional to the plan, not the history)."""
         from repro.versioning.persistence import save_cost_history, save_version_store
 
         save_version_store(self.versions, self.workspace)

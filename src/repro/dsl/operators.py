@@ -10,6 +10,7 @@ parameters so that signatures computed by the compiler are meaningful.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import asdict, dataclass, is_dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -405,6 +406,22 @@ class UDFFeatureExtractor(Operator):
         )
 
 
+@functools.lru_cache(maxsize=8)
+def dense_featurizer_weights(seed: int, n_fields: int, embed_dim: int) -> tuple:
+    """The fixed random ``(projection, hidden)`` weights of a DenseFeaturizer.
+
+    Generated once per key and shared read-only: every chunk of every split
+    of a partitioned run reuses them instead of redrawing an
+    ``embed_dim``² Gaussian matrix per call.
+    """
+    rng = np.random.default_rng(seed)
+    projection = rng.standard_normal((n_fields, embed_dim))
+    hidden = rng.standard_normal((embed_dim, embed_dim)) / np.sqrt(embed_dim)
+    projection.flags.writeable = False
+    hidden.flags.writeable = False
+    return projection, hidden
+
+
 class DenseFeaturizer(Operator):
     """Dense random-projection embedding of numeric fields, computed in batch.
 
@@ -453,10 +470,7 @@ class DenseFeaturizer(Operator):
         }
 
     def _weights(self) -> tuple:
-        rng = np.random.default_rng(self.seed)
-        projection = rng.standard_normal((len(self.fields), self.embed_dim))
-        hidden = rng.standard_normal((self.embed_dim, self.embed_dim)) / np.sqrt(self.embed_dim)
-        return projection, hidden
+        return dense_featurizer_weights(self.seed, len(self.fields), self.embed_dim)
 
     def _embed(self, collection: DataCollection) -> List[Dict[str, float]]:
         projection, hidden = self._weights()

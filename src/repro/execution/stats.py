@@ -9,7 +9,7 @@ is where those statistics live.  :class:`RunHistory` doubles as the signature
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 from repro.graph.dag import NodeState
 from repro.optimizer.cost_model import CostRecord
@@ -191,10 +191,15 @@ class IterationReport:
 
 
 class RunHistory:
-    """Measured costs per signature plus the list of iteration reports."""
+    """Measured costs per signature plus the list of iteration reports.
+
+    Signatures whose record changed since it was last persisted are tracked,
+    so persistence writes only what an iteration re-measured.
+    """
 
     def __init__(self) -> None:
         self._records: Dict[str, CostRecord] = {}
+        self._dirty: Set[str] = set()
         self.reports: List[IterationReport] = []
 
     def update_from_report(self, report: IterationReport) -> None:
@@ -207,21 +212,34 @@ class RunHistory:
         self.reports.append(report)
         for stats in report.node_stats.values():
             if stats.state is NodeState.COMPUTE:
-                self._records[stats.signature] = CostRecord(
+                self.record(stats.signature, CostRecord(
                     compute_cost=stats.compute_time,
                     output_size=stats.output_size or self._records.get(stats.signature, CostRecord(0, 0)).output_size,
                     operator_type=stats.operator_type,
-                )
+                ))
             elif stats.state is NodeState.LOAD and stats.signature in self._records:
                 existing = self._records[stats.signature]
-                self._records[stats.signature] = CostRecord(
+                self.record(stats.signature, CostRecord(
                     compute_cost=existing.compute_cost,
                     output_size=stats.output_size or existing.output_size,
                     operator_type=existing.operator_type,
-                )
+                ))
 
     def record(self, signature: str, record: CostRecord) -> None:
+        if self._records.get(signature) != record:
+            self._dirty.add(signature)
         self._records[signature] = record
+
+    def restore(self, records: Mapping[str, CostRecord]) -> None:
+        """Load already-persisted records (they are not marked dirty)."""
+        self._records.update(records)
+
+    def unpersisted(self) -> Dict[str, CostRecord]:
+        """Records changed since they were last :meth:`mark_persisted`."""
+        return {signature: self._records[signature] for signature in sorted(self._dirty)}
+
+    def mark_persisted(self, signatures: Iterable[str]) -> None:
+        self._dirty.difference_update(signatures)
 
     def cost_records(self) -> Dict[str, CostRecord]:
         return dict(self._records)

@@ -38,7 +38,7 @@ import os
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.errors import BudgetExceededError, StorageError
@@ -80,6 +80,56 @@ class ChunkInventory:
     def missing(self) -> Tuple[int, ...]:
         have = set(self.present)
         return tuple(index for index in range(self.count) if index not in have)
+
+
+def rank_chunk_families(
+    members: Iterable[Tuple[str, int, int, "ArtifactMeta"]],
+) -> Dict[str, ChunkInventory]:
+    """Parent signature → best chunk family among ``members``.
+
+    ``members`` are ``(parent, index, count, meta)`` rows, one per stored
+    chunk.  A complete family beats an incomplete one; ties prefer the higher
+    present fraction, then the larger count (finer partial reuse).  The
+    measured load cost is the sum of the chunks' last measured loads,
+    available only once every present chunk has been read before.
+    """
+    families: Dict[str, Dict[int, List[Tuple[int, "ArtifactMeta"]]]] = {}
+    for parent, index, count, meta in members:
+        families.setdefault(parent, {}).setdefault(count, []).append((index, meta))
+    inventory: Dict[str, ChunkInventory] = {}
+    for parent, by_count in families.items():
+        def rank(item: Tuple[int, List[Tuple[int, "ArtifactMeta"]]]) -> Tuple:
+            count, members = item
+            return (len(members) == count, len(members) / count, count)
+
+        count, chosen = max(sorted(by_count.items()), key=rank)
+        chosen.sort()
+        measured = [meta.last_load_time for _index, meta in chosen]
+        inventory[parent] = ChunkInventory(
+            count=count,
+            present=tuple(index for index, _meta in chosen),
+            bytes_present=sum(meta.size for _index, meta in chosen),
+            measured_load_cost=(
+                sum(measured) if measured and all(m is not None for m in measured) else None
+            ),
+        )
+    return inventory
+
+
+@dataclass
+class CostInputs:
+    """What the cost estimator reads from the store about a set of signatures.
+
+    Each map covers only the requested signatures the store holds: sizes and
+    codecs of stored artifacts, measured durable-tier load times, the ones a
+    memory tier would serve, and each signature's best chunk family.
+    """
+
+    sizes: Dict[str, float] = field(default_factory=dict)
+    load_costs: Dict[str, float] = field(default_factory=dict)
+    codecs: Dict[str, str] = field(default_factory=dict)
+    memory_resident: Set[str] = field(default_factory=set)
+    chunk_inventory: Dict[str, ChunkInventory] = field(default_factory=dict)
 
 
 class ChunkStoreOps:
@@ -131,38 +181,32 @@ class ChunkStoreOps:
         ]
 
     def chunk_inventory(self) -> Dict[str, "ChunkInventory"]:
-        """Parent signature → best chunk family currently in the store.
+        """Parent signature → best chunk family currently in the store
+        (ranked by :func:`rank_chunk_families`)."""
+        return rank_chunk_families(
+            (*parsed, meta)
+            for key, meta in self.catalog().items()
+            if (parsed := parse_chunk_signature(key)) is not None
+        )
 
-        A complete family beats an incomplete one; ties prefer the higher
-        present fraction, then the larger count (finer partial reuse).  The
-        measured load cost is the sum of the chunks' last measured loads,
-        available only once every present chunk has been read before.
-        """
-        families: Dict[str, Dict[int, List[Tuple[int, "ArtifactMeta"]]]] = {}
-        for key, meta in self.catalog().items():
-            parsed = parse_chunk_signature(key)
-            if parsed is None:
-                continue
-            parent, index, count = parsed
-            families.setdefault(parent, {}).setdefault(count, []).append((index, meta))
-        inventory: Dict[str, ChunkInventory] = {}
-        for parent, by_count in families.items():
-            def rank(item: Tuple[int, List[Tuple[int, "ArtifactMeta"]]]) -> Tuple:
-                count, members = item
-                return (len(members) == count, len(members) / count, count)
+    def cost_inputs(self, signatures: Iterable[str]) -> CostInputs:
+        """The cost estimator's inputs for ``signatures``: the generic form,
+        which filters the full-store snapshots (stores with an indexed
+        catalog override it with a query scoped to ``signatures``)."""
+        wanted = set(signatures)
+        codecs = getattr(self, "codecs_by_signature", None)
+        resident = getattr(self, "memory_resident_signatures", None)
 
-            count, members = max(sorted(by_count.items()), key=rank)
-            members.sort()
-            measured = [meta.last_load_time for _index, meta in members]
-            inventory[parent] = ChunkInventory(
-                count=count,
-                present=tuple(index for index, _meta in members),
-                bytes_present=sum(meta.size for _index, meta in members),
-                measured_load_cost=(
-                    sum(measured) if measured and all(m is not None for m in measured) else None
-                ),
-            )
-        return inventory
+        def subset(mapping: Dict[str, Any]) -> Dict[str, Any]:
+            return {key: value for key, value in mapping.items() if key in wanted}
+
+        return CostInputs(
+            sizes=subset(self.sizes_by_signature()),
+            load_costs=subset(self.load_costs_by_signature()),
+            codecs=subset(codecs()) if callable(codecs) else {},
+            memory_resident=set(resident()) & wanted if callable(resident) else set(),
+            chunk_inventory=subset(self.chunk_inventory()),
+        )
 
     def delete_chunks(self, signature: str) -> int:
         """Remove every chunk of ``signature``; returns how many were deleted."""
@@ -411,6 +455,31 @@ class ArtifactStore(ChunkStoreOps):
                 for signature, meta in self._state.snapshot().items()
                 if meta.last_load_time is not None
             }
+
+    def cost_inputs(self, signatures: Iterable[str]) -> CostInputs:
+        """The cost estimator's inputs for ``signatures`` (one plan's nodes).
+
+        Under SQLite it reads only the requested artifact rows and their
+        chunk families — one indexed ``IN`` query plus one chunk join — so
+        the work follows the plan, not the size of the store.  Pending access
+        touches are overlaid exactly as :meth:`catalog` reports them.  A
+        legacy JSON catalog has no index and filters its snapshots instead.
+        """
+        if self._state.db is None:
+            return super().cost_inputs(signatures)
+        wanted = sorted(set(signatures))
+        memory = self._memory_tier()
+        inputs = CostInputs()
+        with self._lock:
+            for meta in self._state.artifacts_for(wanted):
+                inputs.sizes[meta.signature] = meta.size
+                inputs.codecs[meta.signature] = meta.codec
+                if meta.last_load_time is not None:
+                    inputs.load_costs[meta.signature] = meta.last_load_time
+                if memory is not None and memory.contains(meta.filename):
+                    inputs.memory_resident.add(meta.signature)
+            inputs.chunk_inventory = rank_chunk_families(self._state.chunks_for(wanted))
+        return inputs
 
     def chunk_families(self, signature: str) -> Dict[int, List[int]]:
         """``count -> sorted present chunk indices``, indexed under SQLite.

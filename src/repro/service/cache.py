@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.execution.store import ArtifactMeta, ArtifactStore, ChunkStoreOps
+from repro.execution.store import ArtifactMeta, ArtifactStore, ChunkStoreOps, CostInputs
 from repro.graph.dag import Dag
 from repro.obs.events import events_for
 from repro.obs.registry import MetricsRegistry
@@ -536,6 +536,9 @@ class TenantStoreView(ChunkStoreOps):
 
     def codecs_by_signature(self) -> Dict[str, str]:
         return self.cache.codecs_by_signature()
+
+    def cost_inputs(self, signatures: Iterable[str]) -> CostInputs:
+        return self.cache.cost_inputs(signatures)
 
     def tier_of(self, signature: str) -> Optional[str]:
         return self.cache.tier_of(signature)

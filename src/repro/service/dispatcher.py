@@ -202,6 +202,11 @@ class FairDispatcher:
                 self._tenant_order.append(request.tenant)
             self._queues[request.tenant].append(ticket)
             depth = len(self._queues[request.tenant])
+            # Journal the admission while the ticket is still invisible to
+            # workers (they need this lock to pop it), so its
+            # dispatch_dequeue / run_start can never precede these events.
+            events.emit("service_admit", tenant=request.tenant, cid=cid)
+            events.emit("dispatch_enqueue", tenant=request.tenant, cid=cid, depth=depth)
             self._condition.notify()
         self.metrics.counter(
             "repro_dispatcher_requests_total",
@@ -209,8 +214,6 @@ class FairDispatcher:
             tenant=request.tenant,
         ).inc()
         self._queue_gauge(request.tenant).set(depth)
-        events.emit("service_admit", tenant=request.tenant, cid=cid)
-        events.emit("dispatch_enqueue", tenant=request.tenant, cid=cid, depth=depth)
         return ticket
 
     def _queue_gauge(self, tenant: str):

@@ -424,6 +424,41 @@ class CatalogDB:
         rows = self._execute("SELECT * FROM artifacts ORDER BY signature").fetchall()
         return [self._row_to_meta(row) for row in rows]
 
+    #: Signatures bound per ``IN (...)`` statement (under SQLite's
+    #: historical 999-variable limit).
+    _IN_BATCH = 500
+
+    def _select_in(self, sql: str, keys: Iterable[str]) -> List[sqlite3.Row]:
+        """Run ``sql`` (one ``IN ({})`` placeholder) over ``keys`` in batches."""
+        keys = list(keys)
+        rows: List[sqlite3.Row] = []
+        for start in range(0, len(keys), self._IN_BATCH):
+            batch = tuple(keys[start:start + self._IN_BATCH])
+            rows.extend(self._execute(sql.format(", ".join("?" * len(batch))), batch).fetchall())
+        return rows
+
+    def artifacts_for(self, signatures: Iterable[str]) -> List[ArtifactMeta]:
+        """The rows of exactly ``signatures`` that exist (primary-key lookups)."""
+        rows = self._select_in("SELECT * FROM artifacts WHERE signature IN ({})", signatures)
+        return [self._row_to_meta(row) for row in rows]
+
+    def chunk_members(
+        self, parent_signatures: Iterable[str]
+    ) -> List[Tuple[str, int, int, ArtifactMeta]]:
+        """``(parent, index, count, meta)`` for every stored chunk of the
+        given parents: the chunk index joined to the artifact rows."""
+        rows = self._select_in(
+            "SELECT c.parent_signature, c.chunk_index, c.chunk_count, a.* "
+            "FROM chunks AS c JOIN artifacts AS a ON a.signature = c.signature "
+            "WHERE c.parent_signature IN ({})",
+            parent_signatures,
+        )
+        return [
+            (row["parent_signature"], int(row["chunk_index"]), int(row["chunk_count"]),
+             self._row_to_meta(row))
+            for row in rows
+        ]
+
     def artifact_count(self) -> int:
         return int(self._execute("SELECT COUNT(*) AS n FROM artifacts").fetchone()["n"])
 
@@ -866,6 +901,15 @@ class SqliteCatalogState:
 
     def count(self) -> int:
         return self.db.artifact_count()
+
+    def artifacts_for(self, signatures: Iterable[str]) -> List[ArtifactMeta]:
+        return [self._overlay(meta) for meta in self.db.artifacts_for(signatures)]
+
+    def chunks_for(self, parents: Iterable[str]) -> List[Tuple[str, int, int, ArtifactMeta]]:
+        return [
+            (parent, index, count, self._overlay(meta))
+            for parent, index, count, meta in self.db.chunk_members(parents)
+        ]
 
     def used_bytes(self) -> float:
         return self.db.artifact_total_bytes()

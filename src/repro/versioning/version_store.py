@@ -46,6 +46,8 @@ class VersionStore:
 
     def __init__(self) -> None:
         self._versions: List[WorkflowVersion] = []
+        #: How many leading versions are already in the workspace's log.
+        self._persisted = 0
 
     # ------------------------------------------------------------------
     # Recording
@@ -99,6 +101,14 @@ class VersionStore:
 
     def __len__(self) -> int:
         return len(self._versions)
+
+    def unpersisted(self) -> List[WorkflowVersion]:
+        """Versions recorded since the last :meth:`mark_persisted`."""
+        return self._versions[self._persisted:]
+
+    def mark_persisted(self, count: int) -> None:
+        """Note that the next ``count`` unpersisted versions are on disk."""
+        self._persisted += count
 
     def best_version(self, metric: str, higher_is_better: bool = True) -> WorkflowVersion:
         """The version with the best value of ``metric`` (the UI's shortcut button)."""

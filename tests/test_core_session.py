@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.strategies import DEEPDIVE, HELIX, HELIX_UNOPTIMIZED, KEYSTONEML
 from repro.core.session import HelixSession
+from repro.execution.store import ArtifactStore
 from repro.graph.dag import NodeState
 from repro.workloads.census_workload import CensusVariant, build_census_workflow
 
@@ -150,3 +151,23 @@ class TestStorageBudget:
         session = HelixSession(workspace=str(tmp_path / "b"), storage_budget=50_000)
         session.run(build_census_workflow(variant))
         assert session.storage_used() <= 50_000
+
+
+class EvictingStore(ArtifactStore):
+    """Evicts every unpinned artifact right after each cost query, as a
+    concurrent tenant of a shared cache could."""
+
+    def cost_inputs(self, signatures):
+        inputs = super().cost_inputs(signatures)
+        self.evict(float("inf"))
+        return inputs
+
+
+class TestConcurrentEviction:
+    def test_eviction_after_pricing_cannot_break_the_plan(self, tmp_path, variant):
+        store = EvictingStore(str(tmp_path / "artifacts"))
+        session = HelixSession(workspace=str(tmp_path / "ws"), store=store)
+        first = session.run(build_census_workflow(variant))
+        second = session.run(build_census_workflow(variant))
+        assert second.report.n_in_state(NodeState.LOAD) > 0
+        assert second.metrics == first.metrics

@@ -1,7 +1,9 @@
 """Tests for the record-workflow operators (Census-style pipeline)."""
 
+import numpy as np
 import pytest
 
+from repro.core.session import HelixSession
 from repro.dataflow.collection import DataCollection, Dataset, Schema
 from repro.dataflow.features import ExampleCollection, FeatureBlock, LabelBlock, PredictionSet
 from repro.datagen.census import CENSUS_FIELDS, CensusConfig
@@ -9,6 +11,7 @@ from repro.dsl.operators import (
     Bucketizer,
     ChangeCategory,
     CsvScanner,
+    DenseFeaturizer,
     Evaluator,
     FeatureAssembler,
     FieldExtractor,
@@ -20,8 +23,11 @@ from repro.dsl.operators import (
     Reducer,
     SyntheticCensusSource,
     UDFFeatureExtractor,
+    dense_featurizer_weights,
 )
+from repro.dsl.workflow import Workflow
 from repro.errors import ExecutionError, WorkflowError
+from repro.workloads.census_workload import NUMERIC_FIELDS
 
 
 @pytest.fixture
@@ -230,3 +236,55 @@ class TestEvaluationOperators:
     def test_describe_mentions_operator_and_params(self):
         text = Evaluator("p", metrics=("accuracy",)).describe()
         assert text.startswith("Evaluator(") and "accuracy" in text
+
+
+class UncachedDenseFeaturizer(DenseFeaturizer):
+    """Draws its weights afresh on every call: the reference for the cache."""
+
+    def _weights(self) -> tuple:
+        rng = np.random.default_rng(self.seed)
+        projection = rng.standard_normal((len(self.fields), self.embed_dim))
+        hidden = rng.standard_normal((self.embed_dim, self.embed_dim)) / np.sqrt(self.embed_dim)
+        return projection, hidden
+
+
+def _dense_workflow(config, featurizer_cls):
+    wf = Workflow("dense_weights")
+    data = wf.add("data", SyntheticCensusSource(config))
+    rows = wf.add("rows", CsvScanner(data, fields=CENSUS_FIELDS, numeric_fields=NUMERIC_FIELDS))
+    dense = wf.add("dense", featurizer_cls(
+        rows, fields=["age", "education_num", "hours_per_week"], embed_dim=48, passes=2,
+        out_features=6, seed=3,
+    ))
+    wf.mark_output(dense)
+    return wf
+
+
+class TestDenseFeaturizerWeights:
+    def test_cached_weights_are_shared_and_read_only(self):
+        first = DenseFeaturizer("rows", fields=["age"], embed_dim=16, seed=5)._weights()
+        second = DenseFeaturizer("rows", fields=["age"], embed_dim=16, seed=5)._weights()
+        assert first[0] is second[0] and first[1] is second[1]
+        with pytest.raises(ValueError):
+            first[1][0, 0] = 1.0
+
+    def test_embeddings_match_uncached_reference(self, rows_dataset):
+        cached = DenseFeaturizer("rows", fields=["age"], embed_dim=24, passes=3, seed=9)
+        reference = UncachedDenseFeaturizer("rows", fields=["age"], embed_dim=24, passes=3, seed=9)
+        ours = cached.apply({"rows": rows_dataset})
+        theirs = reference.apply({"rows": rows_dataset})
+        assert ours.train == theirs.train and ours.test == theirs.test
+
+    def test_one_generation_per_key_in_a_partitioned_run(self, tmp_path, tiny_census_config):
+        dense_featurizer_weights.cache_clear()
+        session = HelixSession(str(tmp_path / "cached"), partitions=32)
+        cached = session.run(_dense_workflow(tiny_census_config, DenseFeaturizer))
+        info = dense_featurizer_weights.cache_info()
+        assert info.misses == 1
+        assert info.hits >= 31  # every other chunk reused the first draw
+
+        reference = HelixSession(str(tmp_path / "reference"), partitions=32).run(
+            _dense_workflow(tiny_census_config, UncachedDenseFeaturizer)
+        )
+        assert cached.outputs["dense"].train == reference.outputs["dense"].train
+        assert cached.outputs["dense"].test == reference.outputs["dense"].test

@@ -386,3 +386,29 @@ class TestChunkedArtifacts:
         assert len(store.chunk_signatures("sig")) == 2
         assert store.delete_chunks("sig") == 2
         assert store.chunk_families("sig") == {}
+
+
+class TestCostInputs:
+    @pytest.mark.parametrize("catalog", ["sqlite", "json"])
+    def test_query_matches_filtered_snapshots(self, tmp_path, catalog):
+        from repro.execution.store import ChunkStoreOps
+
+        store = ArtifactStore(str(tmp_path / catalog), catalog=catalog)
+        payload = store.serialize("n", list(range(5)))
+        store.put("whole", "n", [1, 2, 3])
+        store.put("other", "n", [4])
+        store.put_chunk_bytes("chunked", "n", 0, 2, payload)
+        store.put_chunk_bytes("chunked", "n", 1, 2, payload)
+        store.put_chunk_bytes("partial", "n", 0, 4, payload)
+        store.get("whole")  # a measured load, still pending under SQLite
+        store.get_chunk("chunked", 0, 2)
+        store.get_chunk("chunked", 1, 2)
+        wanted = ["whole", "chunked", "partial", "absent"]
+
+        inputs = store.cost_inputs(wanted)
+        assert inputs == ChunkStoreOps.cost_inputs(store, wanted)
+        assert set(inputs.sizes) == set(inputs.codecs) == {"whole"}
+        assert set(inputs.load_costs) == {"whole"}
+        assert set(inputs.chunk_inventory) == {"chunked", "partial"}
+        assert inputs.chunk_inventory["chunked"].measured_load_cost is not None
+        assert not inputs.chunk_inventory["partial"].complete

@@ -376,6 +376,41 @@ class TestServiceJournal:
                 assert ticket.error is None
         return workspace
 
+    def test_admission_is_journaled_before_any_dequeue(self):
+        """50 submits onto two eager workers: each request's admit and
+        enqueue events precede its dequeue.  The recording log stalls inside
+        every ``service_admit`` so a worker that could see the ticket before
+        the admission is journaled would overtake it."""
+        import time
+
+        from repro.service.dispatcher import FairDispatcher, RunRequest
+
+        class RecordingLog:
+            def __init__(self):
+                self.events = []
+                self._lock = threading.Lock()
+
+            def emit(self, type, tenant="", cid=None, **fields):
+                if type == "service_admit":
+                    time.sleep(0.001)
+                with self._lock:
+                    self.events.append((type, cid if cid is not None else current_correlation_id()))
+
+        registry = MetricsRegistry(enabled=True)
+        registry.event_log = log = RecordingLog()
+        dispatcher = FairDispatcher(execute=lambda ticket: None, n_workers=2, metrics=registry)
+        try:
+            tickets = [
+                dispatcher.submit(RunRequest(tenant=f"t{i % 5}", build=lambda: None))
+                for i in range(50)
+            ]
+            assert dispatcher.drain(timeout=30)
+        finally:
+            dispatcher.close()
+        for ticket in tickets:
+            story = [kind for kind, cid in log.events if cid == ticket.correlation_id]
+            assert story[:3] == ["service_admit", "dispatch_enqueue", "dispatch_dequeue"]
+
     def test_every_event_is_correlated(self, service_workspace):
         events = read_events(events_path(service_workspace))
         assert events
